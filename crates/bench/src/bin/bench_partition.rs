@@ -16,7 +16,11 @@
 //! it elsewhere). `--scales a,b,c` sets the R-MAT sweep (default
 //! `12,14`), `--k N` the part count (default 64), `--threads a,b,c` the
 //! thread budgets to sweep (default `1,2,4,8`), `--samples N` the timing
-//! repeats per point (default 5, after one warmup).
+//! repeats per point (default 5, after one warmup). Every row times its
+//! sequential and parallel samples interleaved (seq, par, seq, par, ...),
+//! so host drift between two back-to-back series cannot skew a row's
+//! speedup; the 1-thread row, identical code on both sides, departs from
+//! 1.0x only by sampling noise.
 //!
 //! `--assert-min-speedup X` additionally requires every `gp` case at the
 //! largest swept thread count to reach par/seq >= X — the CI speedup
@@ -72,6 +76,12 @@ struct CaseResult {
     /// (per-worker busy/idle/park, jobs, epoch backoffs); `None` for
     /// sequential rows and the pool-less mondriaan pipeline.
     pool: Option<PoolStats>,
+    /// gp pipelines: the largest coarsest graph any bisection handed to
+    /// initial partitioning (deterministic); `None` for mondriaan.
+    max_coarsest_vertices: Option<u64>,
+    /// gp pipelines: bisections whose coarsening stalled above
+    /// `coarsen_to` (deterministic); `None` for mondriaan.
+    stalled_bisections: Option<u64>,
 }
 
 #[derive(serde::Serialize)]
@@ -175,101 +185,54 @@ fn main() {
             ..GpConfig::default()
         };
 
+        let row = Row {
+            scale,
+            k,
+            sweep: &sweep,
+            samples,
+        };
         // gp: single-constraint k-way graph partitioning (the 1D/2D-GP path).
-        {
-            let seq = partition_graph_report(&g, k, &cfg_t(1));
-            let seq_median = sf2d_bench::median_ns(samples, || {
-                std::hint::black_box(partition_graph_report(&g, k, &cfg_t(1)));
-            });
-            for &t in &sweep {
-                let par = partition_graph_report(&g, k, &cfg_t(t));
-                let par_median = sf2d_bench::median_ns(samples, || {
-                    std::hint::black_box(partition_graph_report(&g, k, &cfg_t(t)));
-                });
-                cases.push(case_row(
-                    "gp",
-                    scale,
-                    k,
-                    t,
-                    samples,
-                    seq.partition.part == par.partition.part,
-                    seq_median,
-                    par_median,
-                    gp_phases(&seq),
-                    gp_phases(&par),
-                    par.pool.clone(),
-                ));
-            }
-        }
-
+        row.sweep_into(
+            &mut cases,
+            "gp",
+            |t| partition_graph_report(&g, k, &cfg_t(t)),
+            |a, b| a.partition.part == b.partition.part,
+            gp_phases,
+            gp_extras,
+        );
         // gp-mc: multiconstraint (rows + nonzeros), ncon = 2.
-        {
-            let seq = partition_graph_multiconstraint_report(&g, k, &cfg_t(1));
-            let seq_median = sf2d_bench::median_ns(samples, || {
-                std::hint::black_box(partition_graph_multiconstraint_report(&g, k, &cfg_t(1)));
-            });
-            for &t in &sweep {
-                let par = partition_graph_multiconstraint_report(&g, k, &cfg_t(t));
-                let par_median = sf2d_bench::median_ns(samples, || {
-                    std::hint::black_box(partition_graph_multiconstraint_report(&g, k, &cfg_t(t)));
-                });
-                cases.push(case_row(
-                    "gp-mc",
-                    scale,
-                    k,
-                    t,
-                    samples,
-                    seq.partition.part == par.partition.part,
-                    seq_median,
-                    par_median,
-                    gp_phases(&seq),
-                    gp_phases(&par),
-                    par.pool.clone(),
-                ));
-            }
-        }
-
+        row.sweep_into(
+            &mut cases,
+            "gp-mc",
+            |t| partition_graph_multiconstraint_report(&g, k, &cfg_t(t)),
+            |a, b| a.partition.part == b.partition.part,
+            gp_phases,
+            gp_extras,
+        );
         // mondriaan: nonzero-level recursive bisection.
-        {
-            let mcfg_t = |threads: usize| MondriaanConfig {
-                seed: 7,
-                threads,
-                ..MondriaanConfig::default()
-            };
-            let (seq, seq_ph) = mondriaan_report(&a, k, &mcfg_t(1));
-            let seq_median = sf2d_bench::median_ns(samples, || {
-                std::hint::black_box(mondriaan_report(&a, k, &mcfg_t(1)));
-            });
-            for &t in &sweep {
-                let (par, par_ph) = mondriaan_report(&a, k, &mcfg_t(t));
-                let par_median = sf2d_bench::median_ns(samples, || {
-                    std::hint::black_box(mondriaan_report(&a, k, &mcfg_t(t)));
-                });
-                cases.push(case_row(
-                    "mondriaan",
-                    scale,
-                    k,
-                    t,
-                    samples,
-                    seq.owners() == par.owners(),
-                    seq_median,
-                    par_median,
-                    mondriaan_phases(&seq_ph),
-                    mondriaan_phases(&par_ph),
-                    None,
-                ));
-            }
-        }
+        let mcfg_t = |threads: usize| MondriaanConfig {
+            seed: 7,
+            threads,
+            ..MondriaanConfig::default()
+        };
+        row.sweep_into(
+            &mut cases,
+            "mondriaan",
+            |t| mondriaan_report(&a, k, &mcfg_t(t)),
+            |a, b| a.0.owners() == b.0.owners(),
+            |r| mondriaan_phases(&r.1),
+            |_| RowExtras::default(),
+        );
     }
 
     let identical_all = cases.iter().all(|c| c.identical);
     let report = BenchReport {
         meta: BenchMeta::collect("bench_partition", sweep.iter().copied().max().unwrap_or(1)),
         description: format!(
-            "median wall-clock ns per full k-way partitioning call over {samples} samples \
-             (1 warmup); seq = threads 1, par = each swept thread budget; identical = \
-             parallel result byte-identical to sequential; phases_* = per-phase ns of one \
-             representative run"
+            "median wall-clock ns per full k-way partitioning call over {samples} \
+             interleaved seq/par sample pairs per row (1 warmup each); seq = threads 1, \
+             par = each swept thread budget; identical = parallel result byte-identical to \
+             sequential; phases_* = per-phase ns of one representative run"
         ),
         thread_sweep: sweep.iter().map(|&t| t as u64).collect(),
         host_cpus: host_cpus as u64,
@@ -365,6 +328,14 @@ fn gp_phases(r: &GpReport) -> PhaseMap {
     }
 }
 
+fn gp_extras(r: &GpReport) -> RowExtras {
+    RowExtras {
+        pool: r.pool.clone(),
+        max_coarsest_vertices: Some(r.stats.max_coarsest_vertices),
+        stalled_bisections: Some(r.stats.stalled_bisections),
+    }
+}
+
 fn mondriaan_phases(p: &sf2d_core::sf2d_partition::MondriaanPhases) -> PhaseMap {
     PhaseMap {
         split: p.split,
@@ -373,33 +344,70 @@ fn mondriaan_phases(p: &sf2d_core::sf2d_partition::MondriaanPhases) -> PhaseMap 
     }
 }
 
-/// Packages one (case, thread budget) row.
-#[allow(clippy::too_many_arguments)]
-fn case_row(
-    name: &str,
+/// The per-row fields only some pipelines have, taken from the
+/// representative parallel run.
+#[derive(Default)]
+struct RowExtras {
+    pool: Option<PoolStats>,
+    max_coarsest_vertices: Option<u64>,
+    stalled_bisections: Option<u64>,
+}
+
+/// One (scale, k) point of the sweep.
+struct Row<'a> {
     scale: u32,
     k: usize,
-    threads: usize,
+    sweep: &'a [usize],
     samples: usize,
-    identical: bool,
-    median_ns_seq: u64,
-    median_ns_par: u64,
-    phases_seq: PhaseMap,
-    phases_par: PhaseMap,
-    pool: Option<PoolStats>,
-) -> CaseResult {
-    CaseResult {
-        name: name.to_string(),
-        scale: scale as u64,
-        k: k as u64,
-        threads: threads as u64,
-        median_ns_seq,
-        median_ns_par,
-        speedup: median_ns_seq as f64 / median_ns_par.max(1) as f64,
-        identical,
-        samples: samples as u64,
-        phases_seq,
-        phases_par,
-        pool,
+}
+
+impl Row<'_> {
+    /// Appends one row per swept thread budget `t` for pipeline `name`:
+    /// one representative run each of `run(1)` and `run(t)` (identity
+    /// check, phases, extras), then `samples` interleaved seq/par timing
+    /// pairs after one warmup of each (see `sf2d_bench::paired_median_ns`).
+    fn sweep_into<R>(
+        &self,
+        cases: &mut Vec<CaseResult>,
+        name: &str,
+        run: impl Fn(usize) -> R,
+        same: impl Fn(&R, &R) -> bool,
+        phases: impl Fn(&R) -> PhaseMap,
+        extras: impl Fn(&R) -> RowExtras,
+    ) {
+        for &t in self.sweep {
+            let seq = run(1);
+            let par = run(t);
+            let (median_ns_seq, median_ns_par) = sf2d_bench::paired_median_ns(
+                self.samples,
+                || {
+                    std::hint::black_box(run(1));
+                },
+                || {
+                    std::hint::black_box(run(t));
+                },
+            );
+            let RowExtras {
+                pool,
+                max_coarsest_vertices,
+                stalled_bisections,
+            } = extras(&par);
+            cases.push(CaseResult {
+                name: name.to_string(),
+                scale: self.scale as u64,
+                k: self.k as u64,
+                threads: t as u64,
+                median_ns_seq,
+                median_ns_par,
+                speedup: median_ns_seq as f64 / median_ns_par.max(1) as f64,
+                identical: same(&seq, &par),
+                samples: self.samples as u64,
+                phases_seq: phases(&seq),
+                phases_par: phases(&par),
+                pool,
+                max_coarsest_vertices,
+                stalled_bisections,
+            });
+        }
     }
 }

@@ -193,6 +193,27 @@ pub fn median_ns(samples: usize, mut f: impl FnMut()) -> u64 {
     times[times.len() / 2]
 }
 
+/// Median wall-clock nanoseconds of `a` and of `b` over `samples`
+/// interleaved pairs (`a`, `b`, `a`, `b`, ...), after one warmup run of
+/// each. Interleaving exposes both sides to the same host drift (clock
+/// boost, cache and allocator state, neighbours' load), so their ratio
+/// compares the code, not the moment each side happened to be timed.
+pub fn paired_median_ns(samples: usize, mut a: impl FnMut(), mut b: impl FnMut()) -> (u64, u64) {
+    let time = |f: &mut dyn FnMut()| {
+        let t0 = std::time::Instant::now();
+        f();
+        t0.elapsed().as_nanos() as u64
+    };
+    a();
+    b();
+    let (mut ta, mut tb): (Vec<u64>, Vec<u64>) = (0..samples.max(1))
+        .map(|_| (time(&mut a), time(&mut b)))
+        .unzip();
+    ta.sort_unstable();
+    tb.sort_unstable();
+    (ta[ta.len() / 2], tb[tb.len() / 2])
+}
+
 /// Runs `f` with the tracing facade enabled and writes the captured events
 /// as a Chrome `trace_event` file at `path` (open it in Perfetto /
 /// `chrome://tracing`) plus a markdown critical-path summary next to it at

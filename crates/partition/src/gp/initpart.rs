@@ -4,6 +4,19 @@
 //! vertex whose move loses the least edge weight, until side 0 reaches its
 //! target weight. Several tries from different seeds; the best (feasible
 //! balance first, then lowest cut) wins.
+//!
+//! **Cost.** One growth is O(Σ deg) adjacency work plus the heap traffic
+//! it causes. Every vertex's gain `w(→side 0) − w(→side 1)` is kept as an
+//! exact `i64` for the whole growth: it starts at −(weighted degree) and
+//! each absorbed vertex `v` adds `2w` to each neighbour across an edge of
+//! weight `w`, a walk over v's row only. Recomputing a neighbour's gain
+//! from its whole row on every absorb, as a textbook GGGP does, costs
+//! O(deg²) per hub; on scale-free coarsest graphs, where coarsening stalls
+//! at tens of thousands of vertices, that dominated partitioning time.
+//! The update is exact integer arithmetic, so the heap receives the same
+//! pushes in the same order and every side vector is identical to the
+//! from-scratch growth (the test-only reference in `gp::oracle` pins
+//! this).
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -78,48 +91,52 @@ pub fn violation(
 }
 
 /// One GGGP growth from `seed_vertex`. Returns the side assignment.
-fn grow_once(wg: &WorkGraph, targets0: &[f64; MAX_CON], seed_vertex: usize) -> Vec<u8> {
+///
+/// `start_gain[v]` is `−(weighted degree of v)`: the gain of every vertex
+/// while all of them sit on side 1 (see [`gggp`]).
+pub(super) fn grow_once(
+    wg: &WorkGraph,
+    targets0: &[f64; MAX_CON],
+    seed_vertex: usize,
+    start_gain: &[i64],
+) -> Vec<u8> {
     let nv = wg.nv();
     let mut side = vec![1u8; nv];
     let mut w0 = [0i64; MAX_CON];
 
+    // gain[u] = w(u→side 0) − w(u→side 1), exact at all times: moving `v`
+    // to side 0 turns each edge (u, v) of weight w from a −w into a +w
+    // term of u's gain. Edge weights are symmetric (see `WorkGraph`), so
+    // v's own adjacency row carries every update.
+    let mut gain = start_gain.to_vec();
+
     // Max-heap of (gain, vertex); gains go stale and are re-checked on pop.
     let mut heap: BinaryHeap<(i64, Reverse<u32>)> = BinaryHeap::new();
     let mut in_heap_gain = vec![i64::MIN; nv];
-
-    let gain_of = |v: usize, side: &[u8]| -> i64 {
-        let (nbrs, wgts) = wg.neighbors(v);
-        let mut g = 0i64;
-        for (&u, &w) in nbrs.iter().zip(wgts) {
-            if side[u as usize] == 0 {
-                g += w;
-            } else {
-                g -= w;
-            }
-        }
-        g
-    };
 
     let reached = |w0: &[i64; MAX_CON]| (0..wg.ncon).all(|c| w0[c] as f64 >= targets0[c]);
 
     let add = |v: usize,
                side: &mut Vec<u8>,
                w0: &mut [i64; MAX_CON],
+               gain: &mut Vec<i64>,
                heap: &mut BinaryHeap<(i64, Reverse<u32>)>,
                in_heap_gain: &mut Vec<i64>| {
         side[v] = 0;
         for c in 0..wg.ncon {
             w0[c] += wg.vw(v, c);
         }
-        let (nbrs, _) = wg.neighbors(v);
+        let (nbrs, wgts) = wg.neighbors(v);
+        for (&u, &w) in nbrs.iter().zip(wgts) {
+            gain[u as usize] += 2 * w;
+        }
+        // Push only after every update, so each neighbour is offered its
+        // final gain for this move (a row may repeat a neighbour).
         for &u in nbrs {
             let u = u as usize;
-            if side[u] == 1 {
-                let g = gain_of(u, side);
-                if g > in_heap_gain[u] {
-                    in_heap_gain[u] = g;
-                    heap.push((g, Reverse(u as u32)));
-                }
+            if side[u] == 1 && gain[u] > in_heap_gain[u] {
+                in_heap_gain[u] = gain[u];
+                heap.push((gain[u], Reverse(u as u32)));
             }
         }
     };
@@ -128,6 +145,7 @@ fn grow_once(wg: &WorkGraph, targets0: &[f64; MAX_CON], seed_vertex: usize) -> V
         seed_vertex,
         &mut side,
         &mut w0,
+        &mut gain,
         &mut heap,
         &mut in_heap_gain,
     );
@@ -155,7 +173,14 @@ fn grow_once(wg: &WorkGraph, targets0: &[f64; MAX_CON], seed_vertex: usize) -> V
                 next_fallback
             }
         };
-        add(v, &mut side, &mut w0, &mut heap, &mut in_heap_gain);
+        add(
+            v,
+            &mut side,
+            &mut w0,
+            &mut gain,
+            &mut heap,
+            &mut in_heap_gain,
+        );
     }
     side
 }
@@ -172,10 +197,13 @@ pub fn gggp(
 ) -> Vec<u8> {
     let nv = wg.nv();
     assert!(nv >= 1);
+    let start_gain: Vec<i64> = (0..nv)
+        .map(|v| -wg.neighbors(v).1.iter().sum::<i64>())
+        .collect();
     let mut best: Option<(BisectionQuality, Vec<u8>)> = None;
     for _ in 0..tries.max(1) {
         let seed_vertex = rng.gen_range(0..nv);
-        let side = grow_once(wg, &targets[0], seed_vertex);
+        let side = grow_once(wg, &targets[0], seed_vertex, &start_gain);
         let q = BisectionQuality {
             violation: violation(&side_weights(wg, &side), targets, wg.ncon, ub),
             cut: cut_of(wg, &side),

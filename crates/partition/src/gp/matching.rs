@@ -21,6 +21,18 @@
 //! the loop converges in a handful of rounds (capped by
 //! [`MATCH_ROUNDS_MAX`], and exited early when a round matches nothing).
 //!
+//! **Cost.** Only invalidated candidates rescan. A free vertex's pick
+//! stays its best free neighbour for as long as that neighbour is free:
+//! free sets only shrink and the weight cap is fixed, so the maximum over
+//! the eligible set is unchanged while its argmax remains in it. "No
+//! eligible neighbour" is likewise permanent. A round therefore costs one
+//! O(1) check per free vertex plus an adjacency scan for the vertices
+//! whose pick married someone else in the previous round, instead of a
+//! full scan of every free vertex's row each round. The reuse decision
+//! reads only the previous round's `cand` and `mate`, so phase 1 stays a
+//! pure per-vertex fill, and the result is identical to rescanning
+//! everything (the test-only reference in `gp::oracle` pins this).
+//!
 //! Two guards adapt the scheme to scale-free graphs, as before:
 //!
 //! * a **weight cap** refuses matches whose combined weight could not be
@@ -42,7 +54,7 @@ use super::work::WorkGraph;
 pub const UNMATCHED: u32 = u32::MAX;
 
 /// The salted total preference order on vertices (see [`rank`]).
-type Rank = (Reverse<usize>, u64, u32);
+pub(super) type Rank = (Reverse<usize>, u64, u32);
 
 /// Salted total order on vertices for preference tie-breaks: lower degree
 /// first, then a salted splitmix hash, then the id. The salt varies per
@@ -50,12 +62,39 @@ type Rank = (Reverse<usize>, u64, u32);
 /// same tie-break pattern — the determinism-preserving analogue of the
 /// old per-level random shuffle.
 #[inline]
-fn rank(wg: &WorkGraph, u: usize, salt: u64) -> Rank {
+pub(super) fn rank(wg: &WorkGraph, u: usize, salt: u64) -> Rank {
     let deg = wg.xadj[u + 1] - wg.xadj[u];
     let mut h = u as u64 ^ salt;
     h = (h ^ (h >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
     h = (h ^ (h >> 27)).wrapping_mul(0x94D049BB133111EB);
     (Reverse(deg), h ^ (h >> 31), u as u32)
+}
+
+/// Marks a free vertex in `cand` that has no eligible neighbour. This is
+/// final: free sets only shrink and the weight cap is fixed, so such a
+/// vertex never gains one.
+const NO_CAND: u32 = u32::MAX - 1;
+
+/// The best free, cap-fitting neighbour of free vertex `v` under the
+/// preference key `(edge weight, rank)`, or [`NO_CAND`].
+fn best_free_neighbour(wg: &WorkGraph, v: usize, mate: &[u32], max_vwgt: &[i64], salt: u64) -> u32 {
+    let (nbrs, wgts) = wg.neighbors(v);
+    let mut best: Option<(i64, Rank)> = None;
+    for (&u, &w) in nbrs.iter().zip(wgts) {
+        let uu = u as usize;
+        if uu == v || mate[uu] != UNMATCHED {
+            continue;
+        }
+        let fits = (0..wg.ncon).all(|c| wg.vw(v, c) + wg.vw(uu, c) <= max_vwgt[c]);
+        if !fits {
+            continue;
+        }
+        let key = (w, rank(wg, uu, salt));
+        if best.as_ref().map(|b| key > *b).unwrap_or(true) {
+            best = Some(key);
+        }
+    }
+    best.map(|(_, (_, _, u))| u).unwrap_or(NO_CAND)
 }
 
 /// Computes a heavy-edge matching. Returns `mate[v]` = matched partner or
@@ -70,35 +109,31 @@ pub fn heavy_edge_matching(wg: &WorkGraph, max_vwgt: &[i64], salt: u64, par: &Pa
     if nv == 0 {
         return mate;
     }
+    // `cand[v]` is free vertex v's pick from the previous round:
+    // UNMATCHED before its first scan, NO_CAND, or a vertex id. `next` is
+    // the other half of the double buffer, so phase 1 reads only the
+    // previous round's state.
     let mut cand = vec![UNMATCHED; nv];
+    let mut next = vec![UNMATCHED; nv];
     for _round in 0..MATCH_ROUNDS_MAX {
-        // Phase 1: every free vertex picks its best free neighbour. Reads
-        // only the previous round's `mate`, writes only `cand[v]`.
+        // Phase 1: every free vertex picks its best free neighbour. A pick
+        // that is still free is still the best (the eligible set only
+        // shrank), so only vertices whose pick just married rescan.
         {
             let mate_ro: &[u32] = &mate;
-            par.fill(&mut cand, EDGE_GRAIN, |v| {
+            let prev: &[u32] = &cand;
+            par.fill(&mut next, EDGE_GRAIN, |v| {
                 if mate_ro[v] != UNMATCHED {
                     return UNMATCHED;
                 }
-                let (nbrs, wgts) = wg.neighbors(v);
-                let mut best: Option<(i64, Rank)> = None;
-                for (&u, &w) in nbrs.iter().zip(wgts) {
-                    let uu = u as usize;
-                    if uu == v || mate_ro[uu] != UNMATCHED {
-                        continue;
-                    }
-                    let fits = (0..wg.ncon).all(|c| wg.vw(v, c) + wg.vw(uu, c) <= max_vwgt[c]);
-                    if !fits {
-                        continue;
-                    }
-                    let key = (w, rank(wg, uu, salt));
-                    if best.as_ref().map(|b| key > *b).unwrap_or(true) {
-                        best = Some(key);
-                    }
+                match prev[v] {
+                    NO_CAND => NO_CAND,
+                    c if c != UNMATCHED && mate_ro[c as usize] == UNMATCHED => c,
+                    _ => best_free_neighbour(wg, v, mate_ro, max_vwgt, salt),
                 }
-                best.map(|(_, (_, _, u))| u).unwrap_or(UNMATCHED)
             });
         }
+        std::mem::swap(&mut cand, &mut next);
         // Phase 2: mutual pairs marry. Each index writes only `mate[v]`
         // (disjoint), reading only the frozen `cand`; the per-chunk match
         // counts merge through a fixed-shape tree fold.
@@ -112,7 +147,8 @@ pub fn heavy_edge_matching(wg: &WorkGraph, max_vwgt: &[i64], salt: u64, par: &Pa
                     let mut cnt = 0usize;
                     for v in range {
                         let u = cand_ro[v];
-                        if u != UNMATCHED && cand_ro[u as usize] == v as u32 {
+                        // Both sentinels (UNMATCHED, NO_CAND) are >= nv.
+                        if (u as usize) < nv && cand_ro[u as usize] == v as u32 {
                             // SAFETY: index v is written by its own chunk only.
                             unsafe { out.write(v, u) };
                             cnt += 1;

@@ -20,6 +20,8 @@ pub mod coarsen;
 pub mod initpart;
 pub mod kway;
 pub mod matching;
+#[cfg(test)]
+mod oracle;
 pub mod rb;
 pub mod refine;
 pub mod tune;
@@ -40,7 +42,9 @@ use work::WorkGraph;
 pub struct GpReport {
     /// The k-way partition.
     pub partition: Partition,
-    /// Aggregated work counters (deterministic; equal across thread counts).
+    /// Aggregated work counters (deterministic; equal across thread
+    /// counts), including the coarsening-stall indicators
+    /// `max_coarsest_vertices` and `stalled_bisections`.
     pub stats: rb::GpStats,
     /// Per-phase wall time (not deterministic; sums overlap under forks).
     pub phases: PhaseNanos,
@@ -132,6 +136,15 @@ fn partition_workgraph(wg: &WorkGraph, tag: &str, k: usize, cfg: &GpConfig) -> G
             stats.coarsen_levels
         );
         sf2d_obs::counter!(&format!("partition.{tag}.fm_moves"), 0, stats.fm_moves);
+        sf2d_obs::histogram!(
+            &format!("partition.{tag}.max_coarsest_vertices"),
+            stats.max_coarsest_vertices
+        );
+        sf2d_obs::counter!(
+            &format!("partition.{tag}.stalled_bisections"),
+            0,
+            stats.stalled_bisections
+        );
         sf2d_obs::counter!(&format!("partition.{tag}.kway_moves"), 0, kway_moves);
         sf2d_obs::histogram!(
             &format!("partition.{tag}.match_rate_pct"),

@@ -87,6 +87,13 @@ pub struct GpStats {
     pub matchable_vertices: u64,
     /// FM moves kept across all refinement passes.
     pub fm_moves: u64,
+    /// Largest coarsest graph (in vertices) that any bisection handed to
+    /// initial partitioning.
+    pub max_coarsest_vertices: u64,
+    /// Bisections whose coarsening stopped above `GpConfig::coarsen_to`
+    /// because matching or contraction stalled (hub-capped stars on
+    /// scale-free graphs).
+    pub stalled_bisections: u64,
 }
 
 impl GpStats {
@@ -97,6 +104,8 @@ impl GpStats {
         self.matched_vertices += o.matched_vertices;
         self.matchable_vertices += o.matchable_vertices;
         self.fm_moves += o.fm_moves;
+        self.max_coarsest_vertices = self.max_coarsest_vertices.max(o.max_coarsest_vertices);
+        self.stalled_bisections += o.stalled_bisections;
     }
 
     /// Fraction of offered vertices the matcher paired, in [0, 1].
@@ -335,6 +344,8 @@ pub fn multilevel_bisect(
         cur = coarse;
     }
     stats.coarsen_levels += levels.len() as u64;
+    stats.max_coarsest_vertices = cur.nv() as u64;
+    stats.stalled_bisections += u64::from(cur.nv() > cfg.coarsen_to);
 
     // Initial partition at the coarsest level.
     let t = Instant::now();
@@ -421,6 +432,44 @@ mod tests {
             w[0][0] as f64 > 0.25 * tot && (w[1][0] as f64) > 0.25 * tot,
             "{w:?}"
         );
+    }
+
+    #[test]
+    fn stalled_coarsening_is_counted() {
+        // A 1000-leaf star: the capped hub cannot match and leaves have no
+        // other neighbour, so coarsening stops at once, far above
+        // `coarsen_to`.
+        let edges: Vec<(u32, u32)> = (1..1000u32).map(|leaf| (0, leaf)).collect();
+        let wg = WorkGraph::from_graph(&Graph::from_edges(1000, &edges));
+        let cfg = GpConfig::default();
+        let (_, stats, _) = multilevel_bisect(&wg, 0.5, &cfg, 1, &Par::seq());
+        assert_eq!(stats.stalled_bisections, 1, "{stats:?}");
+        assert_eq!(stats.max_coarsest_vertices, 1000, "{stats:?}");
+
+        // A grid coarsens all the way down: no stall.
+        let wg = WorkGraph::from_graph(&Graph::from_symmetric_matrix(&grid_2d(32, 32)));
+        let (_, stats, _) = multilevel_bisect(&wg, 0.5, &cfg, 1, &Par::seq());
+        assert_eq!(stats.stalled_bisections, 0, "{stats:?}");
+        assert!(
+            stats.max_coarsest_vertices <= cfg.coarsen_to as u64,
+            "{stats:?}"
+        );
+    }
+
+    #[test]
+    fn stall_stats_merge_by_max_and_sum() {
+        let mut a = GpStats {
+            max_coarsest_vertices: 300,
+            stalled_bisections: 1,
+            ..GpStats::default()
+        };
+        a.absorb(GpStats {
+            max_coarsest_vertices: 120,
+            stalled_bisections: 2,
+            ..GpStats::default()
+        });
+        assert_eq!(a.max_coarsest_vertices, 300);
+        assert_eq!(a.stalled_bisections, 3);
     }
 
     #[test]

@@ -4,6 +4,11 @@
 //! constraints stored interleaved (`vwgt[v * ncon + c]`). Coarse graphs in
 //! the multilevel hierarchy and the vertex-induced subgraphs of recursive
 //! bisection are all `WorkGraph`s.
+//!
+//! Every `WorkGraph` is undirected: `u` lists `v` exactly when `v` lists
+//! `u`, with the same edge weight. The incremental gain updates of GGGP
+//! and FM rely on this, updating a moved vertex's neighbours from the
+//! mover's own row.
 
 use sf2d_graph::Graph;
 

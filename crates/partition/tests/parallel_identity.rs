@@ -11,7 +11,8 @@ use proptest::prelude::*;
 use sf2d_gen::{chung_lu, powerlaw_degrees, rmat, RmatConfig};
 use sf2d_graph::{CsrMatrix, Graph};
 use sf2d_partition::{
-    mondriaan, partition_graph, partition_graph_multiconstraint, GpConfig, MondriaanConfig,
+    mondriaan, partition_graph, partition_graph_multiconstraint,
+    partition_graph_multiconstraint_report, partition_graph_report, GpConfig, MondriaanConfig,
 };
 
 /// Scale-free test inputs from both generator families: R-MAT (Graph500
@@ -35,7 +36,9 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
     /// parallel == sequential for every k in {2,4,16,64}, every thread
-    /// count in {1,2,4,8}, single-constraint and multiconstraint.
+    /// count in {1,2,4,8}, single-constraint and multiconstraint — the part
+    /// vector and every deterministic work counter in `GpStats`, coarsening
+    /// stalls included.
     #[test]
     fn gp_parallel_matches_sequential(
         a in scale_free_matrix(),
@@ -48,20 +51,21 @@ proptest! {
         let run = |threads: usize| {
             let cfg = GpConfig { seed, threads, ..GpConfig::default() };
             if multiconstraint {
-                partition_graph_multiconstraint(&g, k, &cfg)
+                partition_graph_multiconstraint_report(&g, k, &cfg)
             } else {
-                partition_graph(&g, k, &cfg)
+                partition_graph_report(&g, k, &cfg)
             }
         };
         let seq = run(1);
-        prop_assert!(seq.part.iter().all(|&x| (x as usize) < k));
+        prop_assert!(seq.partition.part.iter().all(|&x| (x as usize) < k));
         for threads in [2usize, 4, 8] {
             let par = run(threads);
             prop_assert_eq!(
-                &par.part, &seq.part,
+                &par.partition.part, &seq.partition.part,
                 "threads {} diverged (k {}, ncon {})",
                 threads, k, if multiconstraint { 2 } else { 1 }
             );
+            prop_assert_eq!(par.stats, seq.stats, "threads {} stats diverged (k {})", threads, k);
         }
     }
 
